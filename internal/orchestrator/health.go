@@ -538,7 +538,9 @@ func (m *Monitor) Events() []HealthEvent {
 
 // Snapshot assembles the fleet health view `newton-ctl status` renders:
 // per-switch state with last-seen ages and drain reasons, plus the
-// pending delta count from a pure (agent-free) Plan.
+// pending delta count from a pure (agent-free) Plan. On an
+// *Orchestrator fleet that Plan reuses the cached fleet plan unless the
+// fleet changed, so a status read costs a diff, not a replan.
 func (m *Monitor) Snapshot() FleetHealth {
 	now := m.cfg.Now()
 	m.mu.Lock()

@@ -10,6 +10,7 @@ import (
 // zero value counts silently; RegisterObs makes it visible.
 type orchObs struct {
 	plans      uint64
+	planHits   uint64
 	admissions uint64
 	rejections uint64
 	deltas     uint64
@@ -18,13 +19,18 @@ type orchObs struct {
 
 func (o *orchObs) inc(p *uint64) { atomic.AddUint64(p, 1) }
 
-// RegisterObs exposes plan/admission/rejection/delta counters in reg.
+// RegisterObs exposes plan/cache-hit/admission/rejection/delta counters
+// in reg.
 func (o *Orchestrator) RegisterObs(reg *obs.Registry) {
 	load := func(p *uint64) func() uint64 {
 		return func() uint64 { return atomic.LoadUint64(p) }
 	}
 	reg.CounterFunc("newton_orch_plans_total",
-		"Network-wide plan recomputations.", load(&o.obs.plans))
+		"Network-wide plan recomputations, run when intents, drains, budgets, width caps or the topology changed.",
+		load(&o.obs.plans))
+	reg.CounterFunc("newton_orch_plan_cache_hits_total",
+		"Plan calls answered from the cached fleet plan; only the diff against the deployment was recomputed.",
+		load(&o.obs.planHits))
 	reg.CounterFunc("newton_orch_admissions_total",
 		"Per-plan intent admissions.", load(&o.obs.admissions))
 	reg.CounterFunc("newton_orch_rejections_total",

@@ -7,11 +7,12 @@
 // result to the switch agents — with expected telemetry contributors
 // registered so merged epochs carry honest Partial/Missing provenance.
 //
-// Plan is a pure recompute: it never talks to agents. The typed Diff it
-// returns against the recorded deployment is what Apply drives, so a
-// topology or budget change (switch drained, envelope shrunk) touches
-// only the delta — never a full redeploy. newton-ctl surfaces the same
-// split as `plan` (inspect) and `apply` (commit).
+// Plan is pure: it never talks to agents. The typed Diff it returns
+// against the recorded deployment is what Apply drives, so a topology or
+// budget change (switch drained, envelope shrunk) touches only the delta
+// — never a full redeploy. newton-ctl surfaces the same split as `plan`
+// (inspect) and `apply` (commit). A fleet plan is computed once per
+// change to its inputs and reused until the next one; see Plan.
 package orchestrator
 
 import (
@@ -22,8 +23,6 @@ import (
 
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/placement"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/topology"
@@ -52,7 +51,9 @@ type Intent struct {
 
 // Config describes the fleet the orchestrator plans against. Budget map
 // keys are switch names and must match both topology node names and the
-// agent names controller.Remote was built with.
+// agent names controller.Remote was built with. New copies the budget
+// map; change budgets afterwards through SetBudget. The topology stays
+// shared: plans follow its Version.
 type Config struct {
 	Topo    *topology.Topology
 	Budgets map[string]scheduler.Budget
@@ -81,7 +82,9 @@ type QueryPlan struct {
 	Parts   map[string][]int
 }
 
-// Plan is one full recompute over the intent set.
+// Plan is one full recompute over the intent set. Plans are shared
+// between callers until the fleet changes: treat a Plan, and the slices
+// and maps inside it, as read-only.
 type Plan struct {
 	Queries   []QueryPlan
 	StagesPer int
@@ -218,6 +221,14 @@ type Orchestrator struct {
 	// the next converge.
 	widthCap map[string]uint32
 
+	// gen counts changes to the plan's inputs: intents, drains, budgets
+	// and width caps. The last recompute's result is reused while gen
+	// and the topology version match the ones it was computed at.
+	gen, planGen, planTopo uint64
+	plan                   *Plan
+	planErr                error
+	memo                   *memo
+
 	obs orchObs
 }
 
@@ -236,11 +247,18 @@ func New(cfg Config, remote *controller.Remote) (*Orchestrator, error) {
 			return nil, fmt.Errorf("orchestrator: %q is a host, not a switch", name)
 		}
 	}
+	budgets := make(map[string]scheduler.Budget, len(cfg.Budgets))
+	for name, b := range cfg.Budgets {
+		budgets[name] = b
+	}
+	cfg.Budgets = budgets
 	return &Orchestrator{
 		cfg: cfg, remote: remote,
 		drained:  map[string]bool{},
 		deployed: map[string]*deployedState{},
 		widthCap: map[string]uint32{},
+		gen:      1,
+		memo:     newMemo(),
 	}, nil
 }
 
@@ -250,6 +268,9 @@ func New(cfg Config, remote *controller.Remote) (*Orchestrator, error) {
 // caller; operators can use it as a manual override.
 func (o *Orchestrator) SetWidthCap(name string, w uint32) {
 	o.mu.Lock()
+	if o.widthCap[name] != w {
+		o.gen++
+	}
 	if w == 0 {
 		delete(o.widthCap, name)
 	} else {
@@ -273,10 +294,13 @@ func (o *Orchestrator) Intents() []Intent {
 }
 
 // SetIntents replaces the intent set. The next Plan/Apply converges the
-// network to it.
+// network to it. The orchestrator keeps the intents' *query.Query
+// pointers: a query handed over must not be modified afterwards — pass
+// a new query to change one.
 func (o *Orchestrator) SetIntents(intents []Intent) {
 	o.mu.Lock()
 	o.intents = append([]Intent(nil), intents...)
+	o.gen++
 	o.mu.Unlock()
 }
 
@@ -284,14 +308,20 @@ func (o *Orchestrator) SetIntents(intents []Intent) {
 // installed partitions are removed by the next Apply.
 func (o *Orchestrator) Drain(name string) {
 	o.mu.Lock()
-	o.drained[name] = true
+	if !o.drained[name] {
+		o.drained[name] = true
+		o.gen++
+	}
 	o.mu.Unlock()
 }
 
 // Undrain returns a switch to the plannable fleet.
 func (o *Orchestrator) Undrain(name string) {
 	o.mu.Lock()
-	delete(o.drained, name)
+	if o.drained[name] {
+		delete(o.drained, name)
+		o.gen++
+	}
 	o.mu.Unlock()
 }
 
@@ -317,7 +347,10 @@ func (o *Orchestrator) Switches() []string {
 // SetBudget adds or resizes one switch's envelope.
 func (o *Orchestrator) SetBudget(name string, b scheduler.Budget) {
 	o.mu.Lock()
-	o.cfg.Budgets[name] = b
+	if old, ok := o.cfg.Budgets[name]; !ok || old != b {
+		o.cfg.Budgets[name] = b
+		o.gen++
+	}
 	o.mu.Unlock()
 }
 
@@ -339,10 +372,15 @@ func (o *Orchestrator) stagesPer() int {
 	return min
 }
 
-// Plan recomputes placement and admission for every intent, in priority
-// order, against fresh per-switch budget trackers — then diffs the
-// result against the recorded deployment. It is pure: no agent is
-// contacted until Apply.
+// Plan places and admits every intent, in priority order, against
+// fresh per-switch budget trackers — then diffs the result against the
+// recorded deployment. It is pure: no agent is contacted until Apply.
+//
+// The placement and admission half is recomputed only when its inputs
+// changed since the last call (SetIntents, Drain, Undrain, SetBudget,
+// SetWidthCap, or a topology mutation); otherwise Plan returns the same
+// *Plan as before with a fresh diff. The returned Plan is shared and
+// read-only.
 func (o *Orchestrator) Plan() (*Plan, Diff, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -350,7 +388,23 @@ func (o *Orchestrator) Plan() (*Plan, Diff, error) {
 }
 
 func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
-	o.obs.inc(&o.obs.plans)
+	if topo := o.cfg.Topo.Version(); o.planGen != o.gen || o.planTopo != topo {
+		o.obs.inc(&o.obs.plans)
+		o.plan, o.planErr = o.recompute(o.memo)
+		o.memo.sweep()
+		o.planGen, o.planTopo = o.gen, topo
+	} else {
+		o.obs.inc(&o.obs.planHits)
+	}
+	if o.planErr != nil {
+		return nil, Diff{}, o.planErr
+	}
+	return o.plan, o.diff(o.plan), nil
+}
+
+// recompute runs placement and admission for the whole intent set,
+// reusing compiled programs and placements from m (nil: compute all).
+func (o *Orchestrator) recompute(m *memo) (*Plan, error) {
 	trackers := map[string]*scheduler.Tracker{}
 	for name, b := range o.cfg.Budgets {
 		if !o.drained[name] {
@@ -358,7 +412,7 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 		}
 	}
 	if len(trackers) == 0 {
-		return nil, Diff{}, fmt.Errorf("orchestrator: every switch is drained")
+		return nil, fmt.Errorf("orchestrator: every switch is drained")
 	}
 	stagesPer := o.stagesPer()
 
@@ -372,7 +426,7 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 
 	plans := make([]QueryPlan, len(o.intents))
 	for _, idx := range order {
-		qp := o.planIntent(o.intents[idx], trackers, stagesPer)
+		qp := o.planIntent(m, o.intents[idx], trackers, stagesPer)
 		if qp.Admitted {
 			o.obs.inc(&o.obs.admissions)
 		} else {
@@ -380,14 +434,13 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 		}
 		plans[idx] = qp
 	}
-	p := &Plan{Queries: plans, StagesPer: stagesPer}
-	return p, o.diff(p), nil
+	return &Plan{Queries: plans, StagesPer: stagesPer}, nil
 }
 
 // planIntent walks the width ladder for one intent: at each rung,
-// compile, place, and tentatively admit against cloned trackers; the
-// first rung every touched switch accepts is committed.
-func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Tracker, stagesPer int) QueryPlan {
+// compile, place, and check every touched switch's tracker; the first
+// rung every touched switch accepts is committed.
+func (o *Orchestrator) planIntent(m *memo, in Intent, trackers map[string]*scheduler.Tracker, stagesPer int) QueryPlan {
 	qp := QueryPlan{Intent: in}
 	ladder, err := scheduler.WidthLadder(in.MinWidth, in.MaxWidth)
 	if err != nil {
@@ -415,18 +468,17 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 		opts := compiler.AllOpts()
 		opts.QID = 1 // placeholder: admission accounting ignores the qid
 		opts.Width = w
-		p, err := compiler.Compile(in.Query, opts)
+		c, err := m.compile(in.Query, opts, stagesPer)
 		if err != nil {
 			qp.Reason = err.Error()
 			return qp // compilation failure does not improve with width
 		}
-		stages := p.NumStages()
 
 		single := true
 		for _, id := range edgeIDs {
 			name := o.cfg.Topo.Node(id).Name
 			tr, live := trackers[name]
-			if !live || stages > tr.Budget().Stages {
+			if !live || c.fp.Stages() > tr.Budget().Stages {
 				single = false
 				break
 			}
@@ -435,9 +487,9 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 		var reason string
 		var admitted *QueryPlan
 		if single {
-			admitted, reason = o.admitSingle(in, p, w, stages, edgeIDs, trackers)
+			admitted, reason = o.admitSingle(in, c, w, edgeIDs, trackers)
 		} else {
-			admitted, reason = o.admitPartitioned(in, w, stages, stagesPer, edgeIDs, trackers, opts)
+			admitted, reason = o.admitPartitioned(m, in, c, w, stagesPer, edgeIDs, trackers)
 		}
 		if admitted != nil {
 			if w != maxW {
@@ -490,57 +542,49 @@ func (o *Orchestrator) resolveEdges(names []string) ([]int, error) {
 }
 
 // admitSingle replicates the full program on every monitored edge
-// switch, charging each one's tracker.
-func (o *Orchestrator) admitSingle(in Intent, p *modules.Program, w uint32, stages int, edgeIDs []int, trackers map[string]*scheduler.Tracker) (*QueryPlan, string) {
-	var targets []string
-	clones := map[string]*scheduler.Tracker{}
+// switch: it checks each one's tracker, then charges each distinct one.
+func (o *Orchestrator) admitSingle(in Intent, c *compiled, w uint32, edgeIDs []int, trackers map[string]*scheduler.Tracker) (*QueryPlan, string) {
+	targets := make([]string, 0, len(edgeIDs))
 	for _, id := range edgeIDs {
 		name := o.cfg.Topo.Node(id).Name
-		tr := trackers[name]
-		c := tr.Clone()
-		if ok, why := c.Fits(p); !ok {
+		if ok, why := trackers[name].FitsFootprint(c.fp); !ok {
 			return nil, fmt.Sprintf("%s: %s", name, why)
 		}
-		c.Commit(p)
-		clones[name] = c
 		targets = append(targets, name)
 	}
 	sort.Strings(targets)
-	for name, c := range clones {
-		trackers[name] = c
+	for i, name := range targets {
+		if i == 0 || name != targets[i-1] {
+			trackers[name].CommitFootprint(c.fp)
+		}
 	}
 	return &QueryPlan{
-		Intent: in, Admitted: true, Width: w, Stages: stages,
+		Intent: in, Admitted: true, Width: w, Stages: c.fp.Stages(),
 		M: 1, Single: true, Targets: targets,
 	}, ""
 }
 
 // admitPartitioned runs resilient placement over the full topology,
 // restricts the assignment to the live fleet, and charges each switch's
-// tracker for its partitions. Placement is computed on the whole graph —
-// a switch outside the fleet simply cannot host its assignment, which
-// loses redundancy but never correctness, except when partition 0 would
-// vanish entirely (monitored traffic's first hop): that rejects.
-func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer int, edgeIDs []int, trackers map[string]*scheduler.Tracker, opts compiler.Options) (*QueryPlan, string) {
-	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, stages, stagesPer)
-	if err != nil {
-		return nil, err.Error()
+// tracker for its partitions, summed, once every switch has room.
+// Placement is computed on the whole graph — a switch outside the fleet
+// simply cannot host its assignment, which loses redundancy but never
+// correctness, except when partition 0 would vanish entirely (monitored
+// traffic's first hop): that rejects.
+func (o *Orchestrator) admitPartitioned(m *memo, in Intent, c *compiled, w uint32, stagesPer int, edgeIDs []int, trackers map[string]*scheduler.Tracker) (*QueryPlan, string) {
+	pl := m.place(o.cfg.Topo, edgeIDs, c.fp.Stages(), stagesPer)
+	if pl.err != nil {
+		return nil, pl.err.Error()
 	}
-
-	// One sliced instance for admission accounting; Apply's installs
+	// Admission accounting charges the sliced program; Apply's installs
 	// compile fresh per-switch copies inside controller.Remote.
-	logical, err := compiler.Compile(in.Query, opts)
-	if err != nil {
-		return nil, err.Error()
-	}
-	partProgs, err := modules.SliceProgram(logical, stagesPer)
-	if err != nil {
+	if _, err := c.partitions(stagesPer); err != nil {
 		return nil, err.Error()
 	}
 
 	parts := map[string][]int{}
 	part0Hosted := false
-	for sw, idxs := range pl {
+	for sw, idxs := range pl.pl {
 		name := o.cfg.Topo.Node(sw).Name
 		if _, live := trackers[name]; !live {
 			continue // not in the fleet, or drained
@@ -559,24 +603,18 @@ func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer i
 		return nil, "no live switch hosts partition 0 (all monitored edge switches drained?)"
 	}
 
-	clones := map[string]*scheduler.Tracker{}
-	for _, name := range sortedKeys(parts) {
-		c := trackers[name].Clone()
-		for _, k := range parts[name] {
-			p := partProgs[k]
-			if ok, why := c.Fits(p); !ok {
-				return nil, fmt.Sprintf("%s (partition %d): %s", name, k, why)
-			}
-			c.Commit(p)
+	names := sortedKeys(parts)
+	for _, name := range names {
+		if ok, why := trackers[name].FitsFootprint(c.on(parts[name])); !ok {
+			return nil, fmt.Sprintf("%s (partitions %v): %s", name, parts[name], why)
 		}
-		clones[name] = c
 	}
-	for name, c := range clones {
-		trackers[name] = c
+	for _, name := range names {
+		trackers[name].CommitFootprint(c.on(parts[name]))
 	}
 	return &QueryPlan{
-		Intent: in, Admitted: true, Width: w, Stages: stages,
-		M: m, Parts: parts,
+		Intent: in, Admitted: true, Width: w, Stages: c.fp.Stages(),
+		M: pl.m, Parts: parts,
 	}, ""
 }
 

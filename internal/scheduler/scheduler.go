@@ -13,8 +13,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/newton-net/newton/internal/compiler"
@@ -75,13 +77,6 @@ type Decision struct {
 	Reason   string // why rejected or degraded
 	Program  *modules.Program
 	Stats    compiler.Stats
-}
-
-// bankKey identifies one state bank and one module table.
-type bankKey struct{ stage, set int }
-type tableKey struct {
-	stage, set int
-	kind       modules.Kind
 }
 
 // InitCapacity is the newton_init classifier's rule capacity under this
@@ -166,14 +161,128 @@ func ClampToLadder(w, minW, maxW uint32) uint32 {
 	return w
 }
 
+// Footprint is a compiled program's admission charge, flattened once so
+// a Tracker can check and reserve it without building maps per call:
+// registers per state bank, rules per module table, one newton_init rule
+// per branch, and the distinct classifier predicates. Build it with
+// NewFootprint or SumFootprints; it is immutable afterwards.
+type Footprint struct {
+	stages   int
+	regs     []use // registers per state bank, by bankSlot
+	rules    []use // rules per module table, by tableSlot
+	branches int
+	preds    []modules.InitPredKey // distinct, sorted
+}
+
+// use is what a footprint takes from one resource slot: a state bank,
+// the (stage, metadata set) pair, or a module table, the (stage, set,
+// kind) triple.
+type use struct{ slot, n int }
+
+func bankSlot(stage, set int) int { return stage*2 + set }
+
+func tableSlot(stage, set int, kind modules.Kind) int {
+	return bankSlot(stage, set)*int(modules.NumKinds) + int(kind)
+}
+
+// NewFootprint flattens a compiled program's admission charge.
+// Pass-through and cross-read S ops own no registers, matching the
+// engine's allocator.
+func NewFootprint(p *modules.Program) *Footprint {
+	f := &Footprint{stages: p.NumStages(), branches: len(p.Branches)}
+	regs, rules := denseSlots(f.stages)
+	var pbuf []modules.InitPredKey
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			rules[tableSlot(op.Stage, op.Set&1, op.Kind)]++
+			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
+				regs[bankSlot(op.Stage, op.Set&1)] += int(op.Width())
+			}
+		}
+		pbuf = br.InitPreds(pbuf[:0])
+		f.preds = append(f.preds, pbuf...)
+	}
+	f.regs, f.rules = sparse(regs), sparse(rules)
+	f.dedupePreds()
+	return f
+}
+
+// SumFootprints is the charge of installing every footprint on one
+// device: registers and rules add, the stage span is the widest, and
+// classifier predicates are unioned.
+func SumFootprints(fs ...*Footprint) *Footprint {
+	s := &Footprint{}
+	for _, f := range fs {
+		s.stages = max(s.stages, f.stages)
+	}
+	regs, rules := denseSlots(s.stages)
+	for _, f := range fs {
+		s.branches += f.branches
+		for _, u := range f.regs {
+			regs[u.slot] += u.n
+		}
+		for _, u := range f.rules {
+			rules[u.slot] += u.n
+		}
+		s.preds = append(s.preds, f.preds...)
+	}
+	s.regs, s.rules = sparse(regs), sparse(rules)
+	s.dedupePreds()
+	return s
+}
+
+// denseSlots returns zeroed per-bank and per-table counters covering
+// stages 1..stages.
+func denseSlots(stages int) (regs, rules []int) {
+	n := bankSlot(stages+1, 0)
+	buf := make([]int, n*(1+int(modules.NumKinds)))
+	return buf[:n], buf[n:]
+}
+
+// sparse lists the non-zero slots of dense, in slot order.
+func sparse(dense []int) []use {
+	nz := 0
+	for _, n := range dense {
+		if n != 0 {
+			nz++
+		}
+	}
+	out := make([]use, 0, nz)
+	for slot, n := range dense {
+		if n != 0 {
+			out = append(out, use{slot, n})
+		}
+	}
+	return out
+}
+
+func (f *Footprint) dedupePreds() {
+	slices.SortFunc(f.preds, func(a, b modules.InitPredKey) int {
+		if c := cmp.Compare(a.Col, b.Col); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Val, b.Val); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Mask, b.Mask)
+	})
+	f.preds = slices.Compact(f.preds)
+}
+
+// Stages is the footprint's logical stage span.
+func (f *Footprint) Stages() int { return f.stages }
+
 // Tracker accumulates admitted programs' footprints against one
 // device's budget — the per-switch admission state the network-wide
 // orchestrator keeps one of per switch. The zero value is unusable;
 // call NewTracker.
 type Tracker struct {
-	b         Budget
-	regs      map[bankKey]uint32
-	rules     map[tableKey]int
+	b Budget
+
+	// Allocated on the first commit: a fleet plan keeps a tracker per
+	// switch, and most of them stay empty.
+	regs      []int // registers taken, by bankSlot
+	rules     []int // rules taken, by tableSlot
 	initRules int
 	preds     map[modules.InitPredKey]struct{}
 }
@@ -184,100 +293,91 @@ func NewTracker(b Budget) *Tracker {
 	if b.Stages <= 0 || b.ArraySize == 0 || b.RulesPerModule <= 0 {
 		b = DefaultBudget()
 	}
-	return &Tracker{b: b, regs: map[bankKey]uint32{}, rules: map[tableKey]int{},
-		preds: map[modules.InitPredKey]struct{}{}}
+	return &Tracker{b: b}
 }
 
 // Budget returns the tracker's device envelope.
 func (t *Tracker) Budget() Budget { return t.b }
 
-// Clone copies the tracker so a multi-switch admission can be checked
-// tentatively and discarded on any switch's rejection.
-func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{b: t.b, regs: make(map[bankKey]uint32, len(t.regs)),
-		rules: make(map[tableKey]int, len(t.rules)), initRules: t.initRules,
-		preds: make(map[modules.InitPredKey]struct{}, len(t.preds))}
-	for k, v := range t.regs {
-		c.regs[k] = v
+// taken reads a slot of regs or rules; slots past the end are unused.
+func taken(xs []int, slot int) int {
+	if slot < len(xs) {
+		return xs[slot]
 	}
-	for k, v := range t.rules {
-		c.rules[k] = v
-	}
-	for k := range t.preds {
-		c.preds[k] = struct{}{}
-	}
-	return c
-}
-
-// newPreds collects the program's classifier predicates the tracker has
-// not yet accounted for.
-func (t *Tracker) newPreds(p *modules.Program) map[modules.InitPredKey]struct{} {
-	fresh := map[modules.InitPredKey]struct{}{}
-	var buf []modules.InitPredKey
-	for _, br := range p.Branches {
-		buf = br.InitPreds(buf[:0])
-		for _, k := range buf {
-			if _, seen := t.preds[k]; !seen {
-				fresh[k] = struct{}{}
-			}
-		}
-	}
-	return fresh
+	return 0
 }
 
 // Fits checks a compiled program against the remaining budget.
 func (t *Tracker) Fits(p *modules.Program) (bool, string) {
-	if s := p.NumStages(); s > t.b.Stages {
-		return false, fmt.Sprintf("needs %d stages, device has %d", s, t.b.Stages)
+	return t.FitsFootprint(NewFootprint(p))
+}
+
+// Commit reserves a program's footprint.
+func (t *Tracker) Commit(p *modules.Program) { t.CommitFootprint(NewFootprint(p)) }
+
+// FitsFootprint checks a footprint against the remaining budget. It does
+// not allocate.
+func (t *Tracker) FitsFootprint(f *Footprint) (bool, string) {
+	if f.stages > t.b.Stages {
+		return false, fmt.Sprintf("needs %d stages, device has %d", f.stages, t.b.Stages)
 	}
-	wantRegs := map[bankKey]uint32{}
-	wantRules := map[tableKey]int{}
-	branches := 0
-	for _, br := range p.Branches {
-		branches++
-		for _, op := range br.Ops {
-			tk := tableKey{op.Stage, op.Set & 1, op.Kind}
-			wantRules[tk]++
-			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
-				wantRegs[bankKey{op.Stage, op.Set & 1}] += op.Width()
-			}
-		}
-	}
-	for k, w := range wantRegs {
-		if t.regs[k]+w > t.b.ArraySize {
+	size := int(t.b.ArraySize)
+	for _, u := range f.regs {
+		if used := taken(t.regs, u.slot); used+u.n > size {
 			return false, fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
-				k.stage, k.set, w, t.b.ArraySize-t.regs[k])
+				u.slot/2, u.slot%2, u.n, size-used)
 		}
 	}
-	for k, n := range wantRules {
-		if t.rules[k]+n > t.b.RulesPerModule {
-			return false, fmt.Sprintf("%v table at stage %d set %d out of rule capacity", k.kind, k.stage, k.set)
+	for _, u := range f.rules {
+		if taken(t.rules, u.slot)+u.n > t.b.RulesPerModule {
+			bank := u.slot / int(modules.NumKinds)
+			return false, fmt.Sprintf("%v table at stage %d set %d out of rule capacity",
+				modules.Kind(u.slot%int(modules.NumKinds)), bank/2, bank%2)
 		}
 	}
-	if t.initRules+branches > t.b.InitCapacity() {
+	if t.initRules+f.branches > t.b.InitCapacity() {
 		return false, "newton_init out of rule capacity"
 	}
-	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > t.b.ClassifierPredCap() {
+	fresh := 0
+	for _, k := range f.preds {
+		if _, seen := t.preds[k]; !seen {
+			fresh++
+		}
+	}
+	if len(t.preds)+fresh > t.b.ClassifierPredCap() {
 		return false, fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
-			len(t.preds), len(fresh), t.b.ClassifierPredCap())
+			len(t.preds), fresh, t.b.ClassifierPredCap())
 	}
 	return true, ""
 }
 
-// Commit reserves a program's footprint.
-func (t *Tracker) Commit(p *modules.Program) {
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			t.rules[tableKey{op.Stage, op.Set & 1, op.Kind}]++
-			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
-				t.regs[bankKey{op.Stage, op.Set & 1}] += op.Width()
-			}
-		}
+// CommitFootprint reserves a footprint.
+func (t *Tracker) CommitFootprint(f *Footprint) {
+	if t.preds == nil {
+		slots := bankSlot(t.b.Stages+1, 0) // stages are numbered from 1
+		t.regs = make([]int, slots)
+		t.rules = make([]int, slots*int(modules.NumKinds))
+		t.preds = map[modules.InitPredKey]struct{}{}
 	}
-	t.initRules += len(p.Branches)
-	for k := range t.newPreds(p) {
+	for _, u := range f.regs {
+		t.regs = add(t.regs, u)
+	}
+	for _, u := range f.rules {
+		t.rules = add(t.rules, u)
+	}
+	t.initRules += f.branches
+	for _, k := range f.preds {
 		t.preds[k] = struct{}{}
 	}
+}
+
+// add charges u to its slot of xs, growing xs past a budget's stages.
+func add(xs []int, u use) []int {
+	if u.slot >= len(xs) {
+		xs = append(xs, make([]int, u.slot+1-len(xs))...)
+	}
+	xs[u.slot] += u.n
+	return xs
 }
 
 // Plan admits requests in priority order (ties broken by arrival order),
@@ -318,11 +418,12 @@ func Plan(reqs []Request, b Budget) []Decision {
 				lastErr = err.Error()
 				break // compilation failure does not improve with width
 			}
-			if fits, why := tracker.Fits(p); !fits {
+			fp := NewFootprint(p)
+			if fits, why := tracker.FitsFootprint(fp); !fits {
 				lastErr = why
 				continue
 			}
-			tracker.Commit(p)
+			tracker.CommitFootprint(fp)
 			d.Admitted = true
 			d.Width = w
 			d.Program = p

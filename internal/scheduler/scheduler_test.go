@@ -1,9 +1,12 @@
 package scheduler
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
 )
@@ -328,18 +331,77 @@ func TestPlanClassifierPredCapacity(t *testing.T) {
 	}
 }
 
-func TestTrackerClonePreds(t *testing.T) {
-	b := Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024, ClassifierPreds: 64}
-	ds := Plan([]Request{{Query: query.Q1(40), Priority: 1}}, b)
-	tr := NewTracker(b)
-	tr.Commit(ds[0].Program)
-	clone := tr.Clone()
-	if len(clone.preds) != len(tr.preds) {
-		t.Fatalf("clone carries %d preds, tracker %d", len(clone.preds), len(tr.preds))
+// TestFootprintMatchesProgramAndSequentialCommits pins the flattened
+// footprint against modules' own resource count, and a summed footprint
+// against committing its parts one at a time: at every budget the
+// verdict, and on admission the accounting left behind, must match.
+func TestFootprintMatchesProgramAndSequentialCommits(t *testing.T) {
+	var parts []*modules.Program
+	for _, q := range query.All() {
+		o := compiler.AllOpts()
+		o.Width = 512
+		p, err := compiler.Compile(q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, mf := NewFootprint(p), p.Footprint()
+		regs := 0
+		for _, u := range f.regs {
+			regs += u.n
+		}
+		rules := 0
+		for _, u := range f.rules {
+			rules += u.n
+		}
+		if f.Stages() != p.NumStages() || regs != int(mf.Registers) || rules != mf.Rules ||
+			f.branches != mf.InitRules || len(f.preds) != mf.ClassifierPreds {
+			t.Fatalf("%s: footprint stages=%d regs=%d rules=%d branches=%d preds=%d, program %+v",
+				q.Name, f.Stages(), regs, rules, f.branches, len(f.preds), mf)
+		}
+		if sliced, err := modules.SliceProgram(p, 3); err == nil {
+			parts = append(parts, sliced...)
+		}
 	}
-	// Mutating the clone must not leak back.
-	clone.preds[modules.InitPredKey{Col: 5, Val: 1, Mask: 1}] = struct{}{}
-	if len(clone.preds) == len(tr.preds) {
-		t.Fatal("clone shares the predicate set with its parent")
+
+	rng := rand.New(rand.NewSource(3))
+	admitted := 0
+	for trial := 0; trial < 400; trial++ {
+		b := Budget{Stages: 4 + rng.Intn(3), ArraySize: uint32(256 << rng.Intn(5)),
+			RulesPerModule: 1 + rng.Intn(6), ClassifierPreds: 1 + rng.Intn(30)}
+		seq, sum := NewTracker(b), NewTracker(b)
+		pre := parts[rng.Intn(len(parts))]
+		seq.Commit(pre)
+		sum.Commit(pre)
+
+		batch := make([]*Footprint, 1+rng.Intn(4))
+		seqOK := true
+		for i := range batch {
+			p := parts[rng.Intn(len(parts))]
+			batch[i] = NewFootprint(p)
+			if seqOK {
+				if seqOK, _ = seq.Fits(p); seqOK {
+					seq.Commit(p)
+				}
+			}
+		}
+		total := SumFootprints(batch...)
+		ok, why := sum.FitsFootprint(total)
+		if ok != seqOK {
+			t.Fatalf("trial %d: summed verdict %v (%s), sequential %v", trial, ok, why, seqOK)
+		}
+		if !ok {
+			continue
+		}
+		admitted++
+		if allocs := testing.AllocsPerRun(10, func() { sum.FitsFootprint(total) }); allocs != 0 {
+			t.Fatalf("FitsFootprint allocates %.0f times per admitting call", allocs)
+		}
+		sum.CommitFootprint(total)
+		if !reflect.DeepEqual(seq, sum) {
+			t.Fatalf("trial %d: summed commit left different accounting than sequential commits", trial)
+		}
+	}
+	if admitted < 40 || admitted > 360 {
+		t.Fatalf("%d of 400 trials admitted: budgets do not exercise both verdicts", admitted)
 	}
 }

@@ -54,34 +54,60 @@ type link struct {
 }
 
 // Topology is an undirected graph of hosts and switches with
-// enable/disable-able links.
+// enable/disable-able links. It is not safe for concurrent mutation;
+// concurrent reads are safe.
 type Topology struct {
-	nodes []Node
-	links []*link
-	adj   map[int][]*link
+	nodes  []Node
+	links  []*link
+	adj    map[int][]*link
+	byName map[string]int
+
+	// up and upSw are each node's sorted neighbors over up links (all
+	// nodes, and switches only). Every mutation rebuilds the lists of
+	// the endpoints it touches into fresh slices, so reads never
+	// allocate and a slice already handed out never changes.
+	up, upSw [][]int
+
+	version uint64
 }
 
 // New returns an empty topology.
 func New() *Topology {
-	return &Topology{adj: map[int][]*link{}}
+	return &Topology{adj: map[int][]*link{}, byName: map[string]int{}}
 }
+
+// Version counts the topology's mutations (AddNode, AddLink, and SetLink
+// calls that change a link's state). Planners cache results derived from
+// the graph under it.
+func (t *Topology) Version() uint64 { return t.version }
 
 // AddNode adds a node and returns its ID.
 func (t *Topology) AddNode(name string, kind Kind) int {
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, Node{ID: id, Name: name, Kind: kind})
+	t.up = append(t.up, nil)
+	t.upSw = append(t.upSw, nil)
+	if _, dup := t.byName[name]; !dup {
+		t.byName[name] = id
+	}
+	t.version++
 	return id
 }
 
-// AddLink connects two nodes (idempotent for duplicate pairs).
+// AddLink connects two existing nodes. A duplicate pair adds a parallel
+// link, which Neighbors reports once per link.
 func (t *Topology) AddLink(a, b int) {
 	if a == b {
 		panic("topology: self link")
+	}
+	if a < 0 || b < 0 || a >= len(t.nodes) || b >= len(t.nodes) {
+		panic("topology: link to an unknown node")
 	}
 	l := &link{a: a, b: b, up: true}
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
+	t.linkChanged(l)
 }
 
 // SetLink brings the a–b link up or down (failure injection). It reports
@@ -89,22 +115,26 @@ func (t *Topology) AddLink(a, b int) {
 func (t *Topology) SetLink(a, b int, up bool) bool {
 	for _, l := range t.adj[a] {
 		if l.a == b || l.b == b {
-			l.up = up
+			if l.up != up {
+				l.up = up
+				t.linkChanged(l)
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// Node returns the node with the given ID.
-func (t *Topology) Node(id int) Node { return t.nodes[id] }
+// linkChanged rebuilds the adjacency of a link's endpoints and bumps the
+// version.
+func (t *Topology) linkChanged(l *link) {
+	t.rebuild(l.a)
+	t.rebuild(l.b)
+	t.version++
+}
 
-// NumNodes returns the node count.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
-
-// Neighbors lists nodes reachable over up links.
-func (t *Topology) Neighbors(id int) []int {
-	var out []int
+func (t *Topology) rebuild(id int) {
+	var all, sw []int
 	for _, l := range t.adj[id] {
 		if !l.up {
 			continue
@@ -113,22 +143,40 @@ func (t *Topology) Neighbors(id int) []int {
 		if other == id {
 			other = l.b
 		}
-		out = append(out, other)
+		all = append(all, other)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(all)
+	for _, n := range all {
+		if t.nodes[n].Kind != Host {
+			sw = append(sw, n)
+		}
+	}
+	t.up[id], t.upSw[id] = all, sw
+}
+
+// Node returns the node with the given ID.
+func (t *Topology) Node(id int) Node { return t.nodes[id] }
+
+// NumNodes returns the node count.
+func (t *Topology) NumNodes() int { return len(t.nodes) }
+
+// Neighbors lists nodes reachable over up links, sorted. The slice is
+// shared: callers must not modify it.
+func (t *Topology) Neighbors(id int) []int {
+	if id < 0 || id >= len(t.up) {
+		return nil
+	}
+	return t.up[id]
 }
 
 // SwitchNeighbors lists neighboring switches only (the DFS of the
-// placement algorithm walks switches, not hosts).
+// placement algorithm walks switches, not hosts), sorted. The slice is
+// shared: callers must not modify it.
 func (t *Topology) SwitchNeighbors(id int) []int {
-	var out []int
-	for _, n := range t.Neighbors(id) {
-		if t.nodes[n].Kind != Host {
-			out = append(out, n)
-		}
+	if id < 0 || id >= len(t.upSw) {
+		return nil
 	}
-	return out
+	return t.upSw[id]
 }
 
 // Hosts lists host IDs.
@@ -363,10 +411,8 @@ func Random(n, extra int, seed int64) *Topology {
 
 // NodeByName finds a node ID by name (-1 if absent).
 func (t *Topology) NodeByName(name string) int {
-	for _, n := range t.nodes {
-		if n.Name == name {
-			return n.ID
-		}
+	if id, ok := t.byName[name]; ok {
+		return id
 	}
 	return -1
 }

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -228,4 +231,101 @@ func TestRandomTopology(t *testing.T) {
 		}
 	}()
 	Random(2, 0, 0)
+}
+
+// scanNeighbors is the adjacency oracle: a fresh, sorted scan of the
+// node's up links.
+func scanNeighbors(t *Topology, id int, switchesOnly bool) []int {
+	var out []int
+	for _, l := range t.adj[id] {
+		if !l.up {
+			continue
+		}
+		other := l.a
+		if other == id {
+			other = l.b
+		}
+		if !switchesOnly || t.nodes[other].Kind != Host {
+			out = append(out, other)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// scanPath is Path over scanNeighbors.
+func scanPath(t *Topology, src, dst int, seed uint64) []int {
+	if src == dst {
+		return []int{src}
+	}
+	dist := make([]int, len(t.nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[dst] = 0
+	for queue := []int{dst}; len(queue) > 0; queue = queue[1:] {
+		for _, n := range scanNeighbors(t, queue[0], false) {
+			if dist[n] == -1 {
+				dist[n] = dist[queue[0]] + 1
+				queue = append(queue, n)
+			}
+		}
+	}
+	if dist[src] == -1 {
+		return nil
+	}
+	path := []int{src}
+	for cur := src; cur != dst; {
+		var next []int
+		for _, n := range scanNeighbors(t, cur, false) {
+			if dist[n] == dist[cur]-1 {
+				next = append(next, n)
+			}
+		}
+		cur = next[ecmpPick(seed, cur, len(next))]
+		path = append(path, cur)
+	}
+	return path
+}
+
+func TestAdjacencyMatchesScanUnderLinkChurn(t *testing.T) {
+	topo := FatTree(4)
+	rng := rand.New(rand.NewSource(11))
+	hosts := topo.Hosts()
+	check := func(step int) {
+		t.Helper()
+		for id := 0; id < topo.NumNodes(); id++ {
+			if got, want := topo.Neighbors(id), scanNeighbors(topo, id, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Neighbors(%d) = %v, scan %v", step, id, got, want)
+			}
+			if got, want := topo.SwitchNeighbors(id), scanNeighbors(topo, id, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: SwitchNeighbors(%d) = %v, scan %v", step, id, got, want)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+			seed := rng.Uint64()
+			if got, want := topo.Path(src, dst, seed), scanPath(topo, src, dst, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Path(%d, %d) = %v, scan %v", step, src, dst, got, want)
+			}
+		}
+	}
+	check(0)
+	for step := 1; step <= 200; step++ {
+		l := topo.links[rng.Intn(len(topo.links))]
+		up := rng.Intn(3) == 0 // mostly down, so paths reroute and partitions happen
+		before := topo.Neighbors(l.a)
+		snapshot := append([]int(nil), before...)
+		v, was := topo.Version(), l.up
+		if !topo.SetLink(l.a, l.b, up) {
+			t.Fatalf("step %d: SetLink on an existing link failed", step)
+		}
+		if moved := topo.Version() != v; moved != (was != up) {
+			t.Fatalf("step %d: version moved=%v, link state changed=%v", step, moved, was != up)
+		}
+		if !reflect.DeepEqual(before, snapshot) {
+			t.Fatalf("step %d: a previously returned Neighbors slice changed", step)
+		}
+		check(step)
+	}
 }
