@@ -163,29 +163,23 @@ func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 // MemoryBytes returns the SRAM footprint of the value array.
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
-// Snapshot reads registers [offset, offset+width) as of the current
-// epoch into dst (grown as needed) and returns it. Registers last
-// written in an older epoch read as zero, exactly as OpRead sees them —
-// so a snapshot taken just before NextEpoch captures the ending
-// window's final state. Reads are atomic per register; taken at an
+// Snapshot returns a copy of registers [offset, offset+width) as of the
+// current epoch. Registers last written in an older epoch read as zero,
+// exactly as OpRead sees them — so a snapshot taken just before
+// NextEpoch captures the ending window's final state. Reads are atomic per register; taken at an
 // epoch boundary (netsim and the agents roll epochs only at batch
 // barriers) the snapshot is a consistent view of the window.
-func (ra *RegisterArray) Snapshot(offset, width uint32, dst []uint32) []uint32 {
+func (ra *RegisterArray) Snapshot(offset, width uint32) []uint32 {
 	if offset+width > uint32(len(ra.words)) || offset+width < offset {
 		panic(fmt.Sprintf("dataplane: snapshot of %s[%d:%d] out of range (size %d)",
 			ra.Name, offset, offset+width, len(ra.words)))
 	}
-	if cap(dst) < int(width) {
-		dst = make([]uint32, width)
-	}
-	dst = dst[:width]
+	dst := make([]uint32, width)
 	epoch := ra.epoch.Load()
 	for i := uint32(0); i < width; i++ {
 		cur := atomic.LoadUint64(&ra.words[offset+i])
 		if uint32(cur>>32) == epoch {
 			dst[i] = uint32(cur)
-		} else {
-			dst[i] = 0
 		}
 	}
 	return dst

@@ -30,9 +30,8 @@ var (
 // owns one lane holding its dispatch cache, per-flow hash memos,
 // execution counters, and sampled-latency histogram, so the per-packet
 // path is lock-free under the Context.Lane single-writer discipline.
-// State banks stay shared and linearizable by default (BankShared);
-// BankPrivate gives gate-free sketch rows worker-private shards merged
-// at epoch boundaries — see sharding.go.
+// State banks are shared by every lane and updated with linearizable
+// (CAS) transactions — see sharding.go.
 type Engine struct {
 	layout *Layout
 
@@ -41,12 +40,6 @@ type Engine struct {
 	// lanes holds the per-worker execution state; lanes[0] always exists
 	// and serves sequential delivery. See engineLane in sharding.go.
 	lanes []*engineLane
-
-	// bankMode selects the state-bank sharding discipline (sharding.go).
-	bankMode BankMode
-
-	// mergeScratch is MergeWorkers' reusable snapshot buffer.
-	mergeScratch []uint32
 
 	// laneObs, when set via AttachObs, registers per-worker observability
 	// series (sampled-latency histogram) for a lane; SetWorkers invokes
@@ -186,12 +179,9 @@ func (e *Engine) Install(p *Program) (err error) {
 			}
 			op.S.array = e.layout.ArrayAt(op.Stage, op.Set)
 			op.S.offset, op.S.width = off, width
-			e.allocLaneArrays(op.S)
 		}
 	}
-	// Pass 2: bind cross-branch reads to the Row0 banks they target —
-	// including the target's per-lane shards, so a private-mode cross
-	// read observes what its own lane accumulated.
+	// Pass 2: bind cross-branch reads to the Row0 banks they target.
 	for bi, b := range p.Branches {
 		for _, op := range b.Ops {
 			if op.Kind != ModS || op.S == nil || !op.S.CrossRead {
@@ -204,7 +194,6 @@ func (e *Engine) Install(p *Program) (err error) {
 			}
 			op.S.array = target.array
 			op.S.offset, op.S.width = target.offset, target.width
-			op.S.laneArrays = target.laneArrays
 		}
 	}
 	// Pass 3: install rules.
@@ -288,20 +277,11 @@ func pureKeyMask(m *fields.Mask) bool {
 // left behind by another branch, whose execution prefix can vary with
 // register state — and every such K mask keeps only dispatch-key
 // fields.
-//
-// It also marks which state banks are lane-shardable under BankPrivate:
-// a bank decomposes exactly across worker-private shards only when its
-// ALU is commutative-mergeable (Add sums, Or unions) AND no result
-// process runs earlier in the chain. An earlier R can stop the packet
-// based on running state, making the bank's input stream depend on
-// interleaving — such gated banks (and non-commutative Read/Write ALUs)
-// stay on the shared linearizable array.
 func prepareBranch(b *BranchProgram) {
 	b.numH = 0
 	b.hashPure = true
 	var seenK, pureK [2]bool
 	pureK[0], pureK[1] = true, true
-	seenR := false
 	for _, op := range b.Ops {
 		set := op.Set & 1
 		switch op.Kind {
@@ -316,13 +296,6 @@ func prepareBranch(b *BranchProgram) {
 			if !seenK[set] || !pureK[set] {
 				b.hashPure = false
 			}
-		case ModS:
-			if s := op.S; s != nil && !s.PassThrough && !s.CrossRead {
-				s.shardable = !seenR &&
-					(s.ALU == dataplane.OpAdd || s.ALU == dataplane.OpOr)
-			}
-		case ModR:
-			seenR = true
 		}
 	}
 }
@@ -356,7 +329,6 @@ func (e *Engine) rollback(p *Program) {
 					e.layout.FreeRegisters(op.Stage, op.Set, op.S.offset, op.S.width)
 				}
 				op.S.array = nil
-				op.S.laneArrays = nil
 			}
 		}
 		if b.initRuleID != 0 {
@@ -493,7 +465,6 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []uint64, execs *uint64) {
 	phv := &ctx.PHV
 	seq := ctx.Sequential()
-	laneIdx := ctx.Lane
 	phv.Stopped = false
 	for _, op := range b.Ops {
 		if phv.Stopped {
@@ -517,7 +488,7 @@ func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []ui
 				e.execH(op.H, set, phv)
 			}
 		case ModS:
-			e.execS(op.S, set, phv, seq, laneIdx)
+			e.execS(op.S, set, phv, seq)
 		case ModR:
 			e.execR(ctx, op.R, set, phv)
 		}
@@ -546,7 +517,7 @@ func ownerOf(set *fields.MetadataSet, count uint32, phv *fields.PHV) uint32 {
 	return sketch.FNV1a.Sum(key, 0xBEEF) % count
 }
 
-func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq bool, lane int) {
+func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq bool) {
 	if s.PassThrough {
 		set.StateResult = set.HashResult
 		return
@@ -558,20 +529,10 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		phv.Stopped = true
 		return
 	}
-	arr, base := s.array, s.offset
-	if lane > 0 && lane < len(s.laneArrays) {
-		if la := s.laneArrays[lane]; la != nil {
-			// BankPrivate: this lane owns a private shard of the bank
-			// (allocated from offset 0), merged into the canonical bank at
-			// epoch boundaries. Single-writer, so ExecSeq below is safe
-			// even on the parallel path.
-			arr, base, seq = la, 0, true
-		}
-	}
-	if arr == nil {
+	if s.array == nil {
 		panic(fmt.Sprintf("modules: state bank op executed before install (qid rule missing)"))
 	}
-	idx := base + uint32(set.HashResult)%s.width
+	idx := s.offset + uint32(set.HashResult)%s.width
 	var operand uint32
 	switch s.Operand {
 	case OperandConst:
@@ -582,9 +543,9 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		operand = uint32(set.HashResult)
 	}
 	if seq {
-		set.StateResult = uint64(arr.ExecSeq(s.ALU, idx, operand))
+		set.StateResult = uint64(s.array.ExecSeq(s.ALU, idx, operand))
 	} else {
-		set.StateResult = uint64(arr.Exec(s.ALU, idx, operand))
+		set.StateResult = uint64(s.array.Exec(s.ALU, idx, operand))
 	}
 }
 

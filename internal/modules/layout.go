@@ -2,6 +2,8 @@ package modules
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/newton-net/newton/internal/dataplane"
 )
@@ -114,11 +116,14 @@ type suite struct {
 	tables [NumKinds]*dataplane.Table
 	array  *dataplane.RegisterArray
 
-	// Bump-pointer register allocator with an exact-fit free list —
-	// queries allocate on install and free on removal.
-	next uint32
-	free map[uint32][]uint32 // width -> offsets
+	// free holds the bank's unallocated register runs, sorted by offset
+	// and never adjacent: queries allocate first-fit on install and free
+	// on removal, and FreeRegisters merges neighbouring runs.
+	free []regRun
 }
+
+// regRun is a free run of registers [off, off+n) in a state bank.
+type regRun struct{ off, n uint32 }
 
 // Layout is the module geometry loaded into a pipeline at initialization
 // time. Everything after this — which queries run, with what parameters
@@ -152,7 +157,7 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 	for si, st := range l.pipeline.Stages {
 		var suites []*suite
 		for u := 0; u < kind.SuitesPerStage(); u++ {
-			s := &suite{free: map[uint32][]uint32{}}
+			s := &suite{}
 			for k := Kind(0); k < NumKinds; k++ {
 				if kind == LayoutNaive && Kind(si%int(NumKinds)) != k {
 					continue // naive: stage si hosts only module kind si mod 4
@@ -164,6 +169,7 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 				if k == ModS {
 					ra = dataplane.NewRegisterArray(fmt.Sprintf("bank_s%d_u%d", si, u), arraySize)
 					s.array = ra
+					s.free = []regRun{{0, arraySize}}
 				}
 				if err := st.Place(t.Name, ModuleResources(k), t, ra); err != nil {
 					return nil, fmt.Errorf("modules: loading %v layout: %w", kind, err)
@@ -235,24 +241,39 @@ func (l *Layout) AllocRegisters(stage, u int, width uint32) (uint32, error) {
 	if s == nil || s.array == nil {
 		return 0, fmt.Errorf("modules: no state bank at stage %d suite %d", stage, u)
 	}
-	if lst := s.free[width]; len(lst) > 0 {
-		off := lst[len(lst)-1]
-		s.free[width] = lst[:len(lst)-1]
-		return off, nil
+	for i, r := range s.free {
+		if r.n < width {
+			continue
+		}
+		if r.n == width {
+			s.free = slices.Delete(s.free, i, i+1)
+		} else {
+			s.free[i] = regRun{r.off + width, r.n - width}
+		}
+		return r.off, nil
 	}
-	if s.next+width > s.array.Size() {
-		return 0, fmt.Errorf("modules: state bank at stage %d suite %d exhausted (%d + %d > %d)",
-			stage, u, s.next, width, s.array.Size())
-	}
-	off := s.next
-	s.next += width
-	return off, nil
+	return 0, fmt.Errorf("modules: state bank at stage %d suite %d exhausted (no free run of %d registers; bank size %d)",
+		stage, u, width, s.array.Size())
 }
 
-// FreeRegisters returns an allocation for reuse.
+// FreeRegisters returns an allocation for reuse, merging it with the
+// free runs on either side so that churn across widths never strands
+// registers in pieces too small for the next request.
 func (l *Layout) FreeRegisters(stage, u int, offset, width uint32) {
-	if s := l.suiteAt(stage, u); s != nil {
-		s.free[width] = append(s.free[width], offset)
+	s := l.suiteAt(stage, u)
+	if s == nil {
+		return
+	}
+	i := sort.Search(len(s.free), func(i int) bool { return s.free[i].off > offset })
+	if i > 0 && s.free[i-1].off+s.free[i-1].n == offset {
+		i--
+		s.free[i].n += width
+	} else {
+		s.free = slices.Insert(s.free, i, regRun{offset, width})
+	}
+	if i+1 < len(s.free) && s.free[i].off+s.free[i].n == s.free[i+1].off {
+		s.free[i].n += s.free[i+1].n
+		s.free = slices.Delete(s.free, i+1, i+2)
 	}
 }
 

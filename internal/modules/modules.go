@@ -112,15 +112,6 @@ type SConfig struct {
 
 	array         *dataplane.RegisterArray // bound at install time
 	offset, width uint32                   // allocation, bound at install time
-
-	// shardable (computed by prepareBranch) marks a bank that decomposes
-	// exactly across worker-private shards: commutative ALU (Add/Or)
-	// with no result process earlier in its chain. laneArrays, populated
-	// under Engine BankPrivate mode, holds one private shard per lane
-	// (slot 0 nil: lane 0 uses the canonical array); the shards merge
-	// into the canonical bank at epoch boundaries.
-	shardable  bool
-	laneArrays []*dataplane.RegisterArray
 }
 
 // Offset returns the op's register allocation base (after install).

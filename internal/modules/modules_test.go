@@ -108,6 +108,42 @@ func TestRegisterAllocator(t *testing.T) {
 	}
 }
 
+// TestRegisterAllocatorCoalesces churns widths through one bank: freed
+// runs must merge with their neighbours, so a bank whose allocations
+// are all freed serves one request of its full size, and freeing two
+// adjacent allocations serves a request wider than either.
+func TestRegisterAllocatorCoalesces(t *testing.T) {
+	l := compactLayout(t)
+	widths := []uint32{512, 1024, 512, 2048}
+	alloc := func() []uint32 {
+		offs := make([]uint32, len(widths))
+		for i, w := range widths {
+			off, err := l.AllocRegisters(1, 0, w)
+			if err != nil {
+				t.Fatalf("alloc %d: %v", w, err)
+			}
+			offs[i] = off
+		}
+		return offs
+	}
+	offs := alloc()
+	for _, i := range []int{1, 3, 0, 2} {
+		l.FreeRegisters(1, 0, offs[i], widths[i])
+	}
+	full, err := l.AllocRegisters(1, 0, l.ArraySize)
+	if err != nil || full != 0 {
+		t.Fatalf("full-bank alloc after freeing everything: %d, %v", full, err)
+	}
+	l.FreeRegisters(1, 0, full, l.ArraySize)
+
+	offs = alloc()
+	l.FreeRegisters(1, 0, offs[1], widths[1])
+	l.FreeRegisters(1, 0, offs[0], widths[0])
+	if off, err := l.AllocRegisters(1, 0, 1536); err != nil || off != offs[0] {
+		t.Fatalf("alloc 1536 from the freed 512+1024 run: %d, %v", off, err)
+	}
+}
+
 // buildCountProgram hand-assembles the Q1-style chain:
 // count SYNs per dip, report when the count crosses th.
 func buildCountProgram(qid int, th int64, width uint32) *Program {

@@ -70,16 +70,11 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 
 // SnapshotBanks captures every installed query's state-bank allocations
 // at the current epoch — the epoch-boundary export hook of the streaming
-// telemetry plane. Call it just before Pipeline.NextEpoch: rolled
+// telemetry plane. Call it just before Engine.RollEpoch: rolled
 // epochs read as zero, so the ending window's state is only observable
 // before the roll. Cross-branch reads and pass-through ops own no
 // registers and are skipped.
-// Under BankPrivate, worker-private lane shards are merged into the
-// canonical banks first, so the snapshot — and everything the telemetry
-// plane derives from it (Estimate, SeenDistinct, network-wide merges) —
-// covers the whole window regardless of worker count.
 func (e *Engine) SnapshotBanks() []BankSnapshot {
-	e.MergeWorkers()
 	var out []BankSnapshot
 	for key, p := range e.installed {
 		for bi, b := range p.Branches {
@@ -113,7 +108,7 @@ func (e *Engine) SnapshotBanks() []BankSnapshot {
 						OwnerIndex: s.OwnerIndex,
 						OwnerCount: s.OwnerCount,
 						Width:      s.width,
-						Values:     s.array.Snapshot(s.offset, s.width, nil),
+						Values:     s.array.Snapshot(s.offset, s.width),
 					}
 					if h := curH[set]; h != nil {
 						snap.Algo, snap.Seed, snap.Range = h.Algo, h.Seed, h.Range

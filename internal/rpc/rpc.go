@@ -499,10 +499,7 @@ func (a *Agent) execute(req *Request) *Response {
 		if a.OnEpoch != nil {
 			a.OnEpoch()
 		}
-		// RollEpoch (not a bare Pipeline().NextEpoch()) folds any
-		// worker-private bank shards into the canonical arrays before the
-		// windows roll; OnEpoch's snapshot already merged, so this second
-		// merge is an idempotent no-op.
+		// OnEpoch has exported the ending window's banks; roll them.
 		a.eng.RollEpoch()
 		return &Response{OK: true}
 	case typeExportStats:
